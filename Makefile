@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check vuln build test race vet cover bench bench-full bench-routing bench-cluster bench-replication bench-trace perf-smoke experiments examples clean
+.PHONY: all check vuln build test race vet cover bench bench-full bench-ladder perf-smoke experiments examples clean
 
 all: check
 
@@ -45,52 +45,12 @@ bench:
 bench-full:
 	REPRO_BENCH_SCALE=1 $(GO) test -bench=. -benchmem -benchtime=1x -timeout=2h .
 
-# Routing hot-path benchmarks, recorded into a committed JSON snapshot.
-# Refreshes the "after" numbers in BENCH_pr6.json and preserves the
-# committed "before" baseline, so the zero-alloc fast path stays honest.
-BENCH_JSON ?= BENCH_pr6.json
-bench-routing:
-	$(GO) test -run='^$$' -bench='GreedyEpisode|ServeRouteBatch' -benchmem -benchtime=2s . \
-	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out $(BENCH_JSON) -key after
-
-# Cluster forwarding overhead: POST /route end to end against one daemon vs
-# a 3-shard loopback cluster, recorded into BENCH_pr7.json.
-BENCH_CLUSTER_JSON ?= BENCH_pr7.json
-bench-cluster:
-	$(GO) test -run='^$$' -bench='RouteSingleNode$$' -benchmem -benchtime=2s ./internal/serve/ \
-	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out $(BENCH_CLUSTER_JSON) -key single-node
-	$(GO) test -run='^$$' -bench='RouteCluster3Shard$$' -benchmem -benchtime=2s ./internal/serve/ \
-	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out $(BENCH_CLUSTER_JSON) -key cluster-3shard
-
-# Replication forwarding overhead: the 3-shard loopback cluster with every
-# shard served by two replicas (failover-ordered owner resolution, hedging
-# armed but never firing), against the single-replica cluster baseline —
-# gated at <= 1.25x the single-replica ms/op in review, recorded into
-# BENCH_pr9.json.
-BENCH_REPLICATION_JSON ?= BENCH_pr9.json
-bench-replication:
-	$(GO) test -run='^$$' -bench='RouteCluster3Shard$$' -benchmem -benchtime=2s ./internal/serve/ \
-	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out $(BENCH_REPLICATION_JSON) -key cluster-3shard
-	$(GO) test -run='^$$' -bench='RouteCluster3Shard2Replica$$' -benchmem -benchtime=2s ./internal/serve/ \
-	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out $(BENCH_REPLICATION_JSON) -key cluster-3shard-2replica
-
-# Live-overlay routing overhead: the pipeline episode batches on the plain
-# CSR base, with an empty overlay attached (must cost the same), and over a
-# churned overlay (2% joins + 2% leaves; gated at <= 1.5x ms/op in review),
-# recorded into BENCH_pr8.json.
-BENCH_OVERLAY_JSON ?= BENCH_pr8.json
-bench-overlay:
-	$(GO) test -run='^$$' -bench='PipelineGreedyEpisodes' -benchmem -benchtime=5s . \
-	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out $(BENCH_OVERLAY_JSON) -key pipeline
-
-# Distributed-tracing overhead guard: the engine hot path and the pipeline
-# episode batches with tracing disabled (nil span log — the default), which
-# must stay at the pre-tracing numbers (0 allocs/op on GreedyEpisode, ≤2%
-# drift on the pipeline), recorded into BENCH_pr10.json.
-BENCH_TRACE_JSON ?= BENCH_pr10.json
-bench-trace:
-	$(GO) test -run='^$$' -bench='^BenchmarkGreedyEpisode$$|PipelineGreedyEpisodes$$' -benchmem -benchtime=2s . \
-	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out $(BENCH_TRACE_JSON) -key untraced
+# The routing benchmark (perfbench/, its own module): every workload of
+# BENCHMARK.json with tracing on, printing the per-layer ladder (see
+# perfbench/README.md). BENCH_pr*.json are read-only history of the
+# per-change snapshots it replaced.
+bench-ladder:
+	for w in hub sharded churn; do bash perfbench/run.sh --workload $$w --trace 1 || exit 1; done
 
 # In-process daemon + open-loop load generator with latency/success gates:
 # the CI perf smoke. Tune the gates there, not here.

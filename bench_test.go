@@ -124,8 +124,9 @@ func BenchmarkPipelineGreedyEpisodes(b *testing.B) {
 // routed over a live overlay. The empty variant must cost the same as the
 // base bench — an empty overlay routes through the unchanged CSR fast
 // paths — while the churn variant (2% joins wired to 3 contacts each, 2%
-// tombstoned leaves) bounds the merged-adjacency overhead of a live graph;
-// BENCH_pr8.json (`make bench-overlay`) holds it to <= 1.5x ms/op.
+// tombstoned leaves) bounds the merged-adjacency overhead of a live graph,
+// which the benchmark ladder (`make bench-ladder`, churn workload) reports
+// as graph.overlay_walk_us.
 
 func overlayBenchNetwork(b *testing.B, churn bool) *core.Network {
 	b.Helper()

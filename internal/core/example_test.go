@@ -35,7 +35,7 @@ func ExampleNetwork_Route() {
 	}
 	giant := nw.Giant()
 	s, t := giant[0], giant[len(giant)-1]
-	for _, proto := range []core.Protocol{core.ProtoGreedy, core.ProtoPhiDFS} {
+	for _, proto := range []core.Protocol{"greedy", "phi-dfs"} {
 		res, err := nw.Route(proto, s, t)
 		if err != nil {
 			fmt.Println(err)

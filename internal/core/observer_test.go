@@ -44,7 +44,7 @@ func TestObserverFigure1Trajectory(t *testing.T) {
 			},
 		}
 		var evs []route.MoveEvent
-		r, err := cand.Route(ProtoGreedy, 0, 1, route.ObserverFunc(func(ev route.MoveEvent) {
+		r, err := cand.Route("greedy", 0, 1, route.ObserverFunc(func(ev route.MoveEvent) {
 			evs = append(evs, ev)
 		}))
 		if err != nil {
@@ -70,11 +70,11 @@ func TestObserverFigure1Trajectory(t *testing.T) {
 			t.Fatalf("event %d: W = %g, graph weight %g", i, ev.W, nw.Graph.Weight(ev.V))
 		}
 	}
-	// And matches route.Trajectory, the library's own Figure 1 expansion.
-	traj := route.Trajectory(nw.Graph, nw.NewObjective(res.Path[len(res.Path)-1]), res)
-	for i, h := range traj {
-		if events[i].V != h.V || events[i].W != h.W || events[i].Score != h.Score {
-			t.Fatalf("event %d = %+v differs from trajectory hop %+v", i, events[i], h)
+	// And matches route.Moves, the library's own Figure 1 expansion.
+	traj := route.Moves(nw.Graph, nw.NewObjective(res.Path[len(res.Path)-1]), res, 0)
+	for i, ev := range traj {
+		if events[i] != ev {
+			t.Fatalf("event %d = %+v differs from replayed move %+v", i, events[i], ev)
 		}
 	}
 

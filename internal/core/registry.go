@@ -7,44 +7,13 @@ import (
 // Protocol names a routing protocol in the registry. The value is the
 // protocol's registered name ("greedy", "phi-dfs", ...); the zero value ""
 // selects the default protocol, greedy. Because Protocol is a string type,
-// registry names convert directly: nw.Route("phi-dfs", s, t) works as well
-// as nw.Route(core.ProtoPhiDFS, s, t).
+// registry names convert directly: nw.Route("phi-dfs", s, t).
 type Protocol string
-
-// Deprecated protocol constants. They predate the registry, when Protocol
-// was an int enum dispatched by a switch; they now resolve through the
-// registry by name and exist only so pre-registry callers keep compiling.
-// New code should use registry names directly (or route.Lookup for the
-// implementation).
-const (
-	// ProtoGreedy is the pure greedy protocol of Algorithm 1.
-	//
-	// Deprecated: use the registry name "greedy".
-	ProtoGreedy Protocol = "greedy"
-	// ProtoPhiDFS is the paper's Algorithm 2 patching protocol.
-	//
-	// Deprecated: use the registry name "phi-dfs".
-	ProtoPhiDFS Protocol = "phi-dfs"
-	// ProtoHistory is the message-history patching protocol (Section 5,
-	// first example).
-	//
-	// Deprecated: use the registry name "history".
-	ProtoHistory Protocol = "history"
-	// ProtoGravityPressure is the gravity-pressure heuristic (violates P3).
-	//
-	// Deprecated: use the registry name "gravity-pressure".
-	ProtoGravityPressure Protocol = "gravity-pressure"
-	// ProtoLookahead is greedy routing on the one-hop lookahead objective
-	// ("know thy neighbor's neighbor", related work of Section 1.1).
-	//
-	// Deprecated: use the registry name "greedy+lookahead".
-	ProtoLookahead Protocol = "greedy+lookahead"
-)
 
 // String names the protocol for reports.
 func (p Protocol) String() string {
 	if p == "" {
-		return string(ProtoGreedy)
+		return "greedy"
 	}
 	return string(p)
 }
@@ -61,7 +30,7 @@ func Lookup(name string) (route.Protocol, error) { return route.Lookup(string(na
 // reportOrder fixes the display order of the built-in protocols in tables
 // and sweeps (pure greedy and its lookahead variant first, then the
 // patchers). Externally registered protocols follow in registration order.
-var reportOrder = []Protocol{ProtoGreedy, ProtoLookahead, ProtoPhiDFS, ProtoHistory, ProtoGravityPressure}
+var reportOrder = []Protocol{"greedy", "greedy+lookahead", "phi-dfs", "history", "gravity-pressure"}
 
 // Protocols lists all registered protocols: the built-ins in report order,
 // then any externally registered protocols in registration order.
@@ -85,7 +54,7 @@ func Protocols() []Protocol {
 // selects greedy.
 func resolve(p Protocol) (route.Protocol, error) {
 	if p == "" {
-		p = ProtoGreedy
+		p = "greedy"
 	}
 	return route.Lookup(string(p))
 }

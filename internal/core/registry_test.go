@@ -21,58 +21,12 @@ func reportsEqual(a, b MilgramReport) bool {
 		reflect.DeepEqual(a.Hops, b.Hops) && reflect.DeepEqual(a.Stretches, b.Stretches)
 }
 
-// TestGoldenShimEquivalence pins the API redesign to the pre-registry
-// behavior: each deprecated Proto* constant, resolved through the registry,
-// must produce a Result bit-identical to the enum switch it replaced. The
-// right-hand sides below are the old switch arms, inlined.
-func TestGoldenShimEquivalence(t *testing.T) {
-	nw := girgNet(t, 1200, 31)
-	giant := nw.Giant()
-	golden := map[Protocol]func(obj route.Objective, s int) route.Result{
-		ProtoGreedy: func(obj route.Objective, s int) route.Result {
-			return route.Greedy(nw.Graph, obj, s)
-		},
-		ProtoLookahead: func(obj route.Objective, s int) route.Result {
-			return route.Greedy(nw.Graph, route.NewLookahead(nw.Graph, obj), s)
-		},
-		ProtoPhiDFS: func(obj route.Objective, s int) route.Result {
-			return route.PhiDFS{}.Route(nw.Graph, obj, s)
-		},
-		ProtoHistory: func(obj route.Objective, s int) route.Result {
-			return route.HistoryPatch{}.Route(nw.Graph, obj, s)
-		},
-		ProtoGravityPressure: func(obj route.Objective, s int) route.Result {
-			return route.GravityPressure{}.Route(nw.Graph, obj, s)
-		},
-	}
-	// Several pairs across the giant component, fixed by the graph seed.
-	pairs := [][2]int{
-		{giant[0], giant[len(giant)-1]},
-		{giant[len(giant)/2], giant[1]},
-		{giant[7], giant[len(giant)/3]},
-	}
-	for proto, old := range golden {
-		for _, pr := range pairs {
-			s, tgt := pr[0], pr[1]
-			got, err := nw.Route(proto, s, tgt)
-			if err != nil {
-				t.Fatalf("%s: %v", proto, err)
-			}
-			want := old(nw.NewObjective(tgt), s)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s on (%d, %d): registry result %+v differs from pre-redesign dispatch %+v",
-					proto, s, tgt, got, want)
-			}
-		}
-	}
-}
-
 func TestLookupErrorListsProtocols(t *testing.T) {
 	_, err := Lookup("bogus")
 	if err == nil {
 		t.Fatal("Lookup of unknown name succeeded")
 	}
-	for _, p := range []Protocol{ProtoGreedy, ProtoPhiDFS, ProtoGravityPressure} {
+	for _, p := range []Protocol{"greedy", "phi-dfs", "gravity-pressure"} {
 		if !strings.Contains(err.Error(), string(p)) {
 			t.Fatalf("error %q does not list %q", err, p)
 		}
@@ -88,13 +42,13 @@ func TestLookupErrorListsProtocols(t *testing.T) {
 
 func TestZeroValueProtocolIsGreedy(t *testing.T) {
 	// A zero-valued MilgramConfig.Protocol must route greedily — identical
-	// report to an explicit ProtoGreedy, not an error.
+	// report to an explicitly named greedy, not an error.
 	nw := girgNet(t, 900, 32)
 	def, err := RunMilgram(nw, MilgramConfig{Pairs: 40, Seed: 33})
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := RunMilgram(nw, MilgramConfig{Pairs: 40, Seed: 33, Protocol: ProtoGreedy})
+	explicit, err := RunMilgram(nw, MilgramConfig{Pairs: 40, Seed: 33, Protocol: "greedy"})
 	if err != nil {
 		t.Fatal(err)
 	}

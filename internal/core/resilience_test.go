@@ -145,7 +145,7 @@ func TestFaultyBatchDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := MilgramConfig{
-		Pairs: 80, Seed: 59, Protocol: ProtoPhiDFS, ComputeStretch: true,
+		Pairs: 80, Seed: 59, Protocol: "phi-dfs", ComputeStretch: true,
 		MaxHops: 50000, Faults: plan,
 	}
 	prev := runtime.GOMAXPROCS(1)

@@ -56,7 +56,7 @@ func runE17(cfg Config) (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	protocols := []core.Protocol{core.ProtoGreedy, core.ProtoPhiDFS}
+	protocols := []core.Protocol{"greedy", "phi-dfs"}
 	maxHops := 8 * n
 
 	cells := []struct{ join, leave float64 }{
@@ -107,16 +107,16 @@ func runE17(cfg Config) (Table, error) {
 		v, ok := t.Metrics[fmt.Sprintf("success_j%s_l%s_%s", fmtF2(join), fmtF2(leave), proto)]
 		return v, ok
 	}
-	if base, ok := get(0, 0, core.ProtoGreedy); ok && base > 0 {
-		if j, ok := get(0.05, 0, core.ProtoGreedy); ok {
+	if base, ok := get(0, 0, "greedy"); ok && base > 0 {
+		if j, ok := get(0.05, 0, "greedy"); ok {
 			t.AddNote("joins are free: +5%% joined vertices leave greedy at %.1f%% of its churn-free delivery — new vertices route under the same phi the moment their batch commits", 100*j/base)
 		}
-		if l, ok := get(0, 0.05, core.ProtoGreedy); ok {
+		if l, ok := get(0, 0.05, "greedy"); ok {
 			t.AddNote("leaves degrade smoothly: tombstoning 5%% of vertices keeps %.1f%% of churn-free deliveries (lost walks die as dead ends at tombstones or route to departed targets)", 100*l/base)
 		}
 	}
-	if gd, ok1 := get(0.15, 0.15, core.ProtoGreedy); ok1 {
-		if pd, ok2 := get(0.15, 0.15, core.ProtoPhiDFS); ok2 {
+	if gd, ok1 := get(0.15, 0.15, "greedy"); ok1 {
+		if pd, ok2 := get(0.15, 0.15, "phi-dfs"); ok2 {
 			t.AddNote("under symmetric 15%% churn patching delivers %.1f%% vs greedy's %.1f%%: backtracking recovers walks that dead-end at tombstones, as it does for sampled dead ends", 100*pd, 100*gd)
 		}
 	}

@@ -78,7 +78,7 @@ func runE8(cfg Config) (Table, error) {
 			return t, err
 		}
 		rep, err := core.RunMilgramCtx(cfg.Context(), nw, core.MilgramConfig{
-			Pairs: pairs, Protocol: core.ProtoPhiDFS, Seed: seed * 23, ComputeStretch: true,
+			Pairs: pairs, Protocol: "phi-dfs", Seed: seed * 23, ComputeStretch: true,
 		})
 		if err != nil {
 			return t, err

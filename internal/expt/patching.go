@@ -53,7 +53,7 @@ func runE6(cfg Config) (Table, error) {
 			t.AddRow(fmtInt(n), proto.String(), fmtPct(rep.Success.P),
 				fmtF2(stats.Median(rep.Hops)), fmtF2(rep.MeanHops),
 				fmtF2(stats.Quantile(rep.Hops, 0.95)), fmtF(stats.Median(rep.Stretches)), fmtInt(rep.Truncated))
-			if proto == core.ProtoPhiDFS {
+			if proto == "phi-dfs" {
 				t.SetMetric("phidfs_success", rep.Success.P)
 				t.SetMetric("phidfs_median_stretch", stats.Median(rep.Stretches))
 			}

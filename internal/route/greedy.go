@@ -80,30 +80,3 @@ func bestNeighborIface(g Graph, obj Objective, v int) int {
 	}
 	return best
 }
-
-// Hop is one point of a routing trajectory: the vertex, its model weight
-// and its objective value.
-//
-// Deprecated: Hop predates the Observer hook and duplicates MoveEvent minus
-// the (Episode, Step) coordinates. Use MoveEvent and Moves (or Observe
-// directly); Hop remains only for pre-observer callers.
-type Hop struct {
-	V     int
-	W     float64
-	Score float64
-}
-
-// Trajectory expands a result's path into per-hop (weight, objective)
-// records for trajectory analysis (Figure 1).
-//
-// Deprecated: use Moves, which returns the same (V, W, Score) stream as
-// MoveEvents — the type every observer and analyzer already consumes.
-// Trajectory is a thin conversion over the same replay.
-func Trajectory(g Graph, obj Objective, res Result) []Hop {
-	evs := Moves(g, obj, res, 0)
-	hops := make([]Hop, len(evs))
-	for i, ev := range evs {
-		hops[i] = Hop{V: ev.V, W: ev.W, Score: ev.Score}
-	}
-	return hops
-}

@@ -16,13 +16,17 @@ var inf = math.Inf(1)
 //
 // Three tiers, fastest first:
 //
-//   - GreedyCSR: concrete-type greedy routing on *graph.Graph under the
-//     standard GIRG objective phi, scores computed inline from the CSR
-//     arrays — no interface dispatch, no Objective closure, no per-episode
-//     allocation at all (enforced by a testing.AllocsPerRun gate).
+//   - The one concrete walk: GreedyCSR, GreedyCSRPartial and
+//     GreedyCSROverlay are one-line entry points into walk, greedy routing
+//     under the standard GIRG objective phi with scores computed inline
+//     from the CSR arrays — no interface dispatch, no Objective closure, no
+//     per-episode allocation (enforced by a testing.AllocsPerRun gate). Its
+//     four input combinations are the plain graph, a shard's owned mask, a
+//     live overlay, and an overlay under a mask.
 //   - IntoRouter / BatchRouter: optional Protocol extensions. Protocols
 //     implementing them route into a caller-owned Result with scratch
-//     reuse; all built-ins do.
+//     reuse; all built-ins do. greedyInto, the interface-path greedy, is
+//     the reference oracle the concrete walk is tested against.
 //   - The adapter: any other Protocol keeps working — RouteInto falls back
 //     to the allocating Route call and copies the result into out.
 type (
@@ -90,49 +94,98 @@ type Budget struct {
 // GreedyCSR is the concrete-type fast path of the v2 surface: Algorithm 1
 // from s toward t on a *graph.Graph under the standard objective
 //
-//	phi(v) = w_v / (wmin * intensity * ||x_v - x_t||^dim),
+//	phi(v) = w_v / (wmin * intensity * ||x_v - x_t||^dim).
 //
-// with neighbor scans running directly over the CSR arrays (no interface
-// dispatch, no bounds checks beyond the slice window) and per-vertex scores
-// memoized in sc's epoch-stamped cache (no Objective closure, no per-episode
-// cache allocation). The episode it produces is bit-identical to
-// Greedy(g, NewStandard(g, t), s): identical scores in identical comparison
-// order, including the id tie-break.
-//
-// The graph must carry geometry (positions); weights may be nil (treated as
-// 1, as Graph.Weight does). Steady-state calls perform zero heap
-// allocations — TestGreedyCSRZeroAlloc gates this with testing.AllocsPerRun.
+// The episode is bit-identical to Greedy(g, NewStandard(g, t), s): identical
+// scores in identical comparison order, including the id tie-break. The
+// graph must carry geometry (positions); weights may be nil (treated as 1,
+// as Graph.Weight does). Steady-state calls perform zero heap allocations —
+// TestGreedyCSRZeroAlloc gates this with testing.AllocsPerRun.
 func GreedyCSR(g *graph.Graph, t, s int, b Budget, sc *Scratch, out *Result) {
+	walk(g, nil, t, s, nil, b, sc, out)
+}
+
+// GreedyCSRPartial is GreedyCSR restricted to one shard of a Morton-prefix
+// partition: it routes greedily from s toward t over the full CSR arrays but
+// stops the moment the walk steps onto a vertex the shard does not own,
+// returning that vertex so the caller can forward the continuation to the
+// owning peer (internal/serve's /cluster/hop path).
+//
+// Greedy under the standard objective is strictly φ-increasing, so the walk
+// never revisits a vertex even across shard boundaries: stitching the
+// per-shard segments back together reproduces the single-node episode bit
+// for bit, with Unique == len(Path) for every segment and the merged path.
+//
+// Return values:
+//
+//	exit >= 0: the walk stepped onto non-owned vertex exit (never t —
+//	    arriving at the target is delivery wherever it lives). out holds the
+//	    segment so far: Path ends at exit, Success false, Failure FailNone —
+//	    deliberately unclassified, because the episode is not over.
+//	exit == -1: the episode terminated on this shard. out is classified
+//	    exactly as GreedyCSR would: delivered, dead-end, or a budget cut
+//	    (FailDeadline with the path reset to s).
+//
+// owned must have length g.N(); owned[s] is not required — a hop request
+// that raced a membership change still routes, it just forwards again on the
+// next step.
+func GreedyCSRPartial(g *graph.Graph, t, s int, owned []bool, b Budget, sc *Scratch, out *Result) (exit int) {
+	return walk(g, nil, t, s, owned, b, sc, out)
+}
+
+// walk is the one greedy walk under the standard objective behind GreedyCSR,
+// GreedyCSRPartial and GreedyCSROverlay. g is the CSR base; a non-nil o is a
+// live overlay over g whose add/del deltas, tombstones and added vertices
+// the scans honour; a non-nil owned stops the walk on the first non-owned
+// vertex other than t and returns it (-1 when the episode terminated).
+//
+// Scores are memoized in sc's epoch-stamped cache, so the scan allocates
+// nothing. A row without a delta is scanned straight off the CSR arrays; a
+// dirty row is the two-pointer merge of the sorted base row minus del with
+// the sorted add list, which visits exactly the order of the materialized
+// row — so every combination routes bit-identically to GreedyCSR on
+// o.Materialize().
+func walk(g *graph.Graph, o *graph.Overlay, t, s int, owned []bool, b Budget, sc *Scratch, out *Result) (exit int) {
 	out.reset(s)
 	offsets, adj := g.CSR()
 	pos := g.Positions()
 	space := pos.Space()
-	xt := pos.At(t)
 	weights := g.Weights()
 	norm := 1 / (g.WMin() * g.Intensity())
-	sc.beginScores(g.N())
+	baseN, n := g.N(), g.N()
+	var xt []float64
+	if o != nil {
+		n, xt = o.N(), o.Pos(t)
+	} else {
+		xt = pos.At(t)
+	}
+	sc.beginScores(n)
 	scores, stamps, epoch := sc.scores, sc.stamps, sc.epoch
 
-	// score is phi(v) with epoch-stamped memoization; the target scores
-	// +Inf, exactly as NewStandard spells it. The closure captures only
-	// locals and never escapes, so it compiles allocation-free.
-	score := func(v int) float64 {
-		if stamps[v] == epoch {
-			return scores[v]
-		}
-		var ph float64
-		if v == t {
-			ph = inf
-		} else {
+	// phi is the memoized objective of a base vertex; the target is stamped
+	// +Inf up front, exactly as NewStandard spells it. The closure captures
+	// only locals and never escapes, so it compiles allocation-free and
+	// small enough to inline into the clean-row scan.
+	scores[t], stamps[t] = inf, epoch
+	phi := func(v int) float64 {
+		if stamps[v] != epoch {
 			w := 1.0
 			if weights != nil {
 				w = weights[v]
 			}
-			ph = w * norm / space.DistPow(pos.At(v), xt)
+			scores[v] = w * norm / space.DistPow(pos.At(v), xt)
+			stamps[v] = epoch
 		}
-		scores[v] = ph
-		stamps[v] = epoch
-		return ph
+		return scores[v]
+	}
+	// score also covers the overlay's added vertices, which only delta rows
+	// and the walk's own position can reach.
+	score := func(v int) float64 {
+		if v >= baseN && stamps[v] != epoch {
+			scores[v] = o.Weight(v) * norm / space.DistPow(o.Pos(v), xt)
+			stamps[v] = epoch
+		}
+		return phi(v)
 	}
 
 	scans := 0
@@ -141,35 +194,76 @@ func GreedyCSR(g *graph.Graph, t, s int, b Budget, sc *Scratch, out *Result) {
 		// Budget check, in budgetGraph's order: count the scan, cut past
 		// MaxScans, then the wall clock.
 		scans++
-		if b.MaxScans > 0 && scans > b.MaxScans {
+		if b.MaxScans > 0 && scans > b.MaxScans ||
+			!b.Deadline.IsZero() && time.Now().After(b.Deadline) {
 			out.cutDeadline(s)
-			return
+			return -1
 		}
-		if !b.Deadline.IsZero() && time.Now().After(b.Deadline) {
-			out.cutDeadline(s)
-			return
+		// A tombstoned vertex reads an empty row and dead-ends below.
+		var row, add, del []int32
+		if o == nil || !o.Tombstoned(v) {
+			if v < baseN {
+				row = adj[offsets[v]:offsets[v+1]]
+			}
+			if o != nil {
+				add, del = o.Delta(v)
+			}
 		}
 		best := -1
 		var bestScore float64
-		for _, u32 := range adj[offsets[v]:offsets[v+1]] {
-			u := int(u32)
-			su := score(u)
-			if best == -1 || better(su, bestScore, u, best) {
-				best, bestScore = u, su
+		if len(add) == 0 && len(del) == 0 {
+			for _, u32 := range row {
+				u := int(u32)
+				su := phi(u)
+				if best == -1 || better(su, bestScore, u, best) {
+					best, bestScore = u, su
+				}
+			}
+		} else {
+			for ri, ai, di := 0, 0, 0; ri < len(row) || ai < len(add); {
+				var u int
+				var su float64
+				if ai == len(add) || ri < len(row) && row[ri] < add[ai] {
+					u32 := row[ri]
+					ri++
+					for di < len(del) && del[di] < u32 {
+						di++
+					}
+					if di < len(del) && del[di] == u32 {
+						continue
+					}
+					u = int(u32)
+					su = phi(u)
+				} else {
+					u = int(add[ai])
+					ai++
+					su = score(u)
+				}
+				if best == -1 || better(su, bestScore, u, best) {
+					best, bestScore = u, su
+				}
 			}
 		}
 		if best < 0 || !better(bestScore, score(v), best, v) {
 			out.Stuck = v
 			out.Unique = len(out.Path) // greedy never revisits
 			out.classify()
-			return
+			return -1
 		}
 		out.step(best)
 		v = best
+		if owned != nil && v != t && !owned[v] {
+			// Crossed the shard boundary: hand the walk to v's owner. The
+			// segment stays unclassified — Success false, Failure FailNone —
+			// which no terminal episode ever is.
+			out.Unique = len(out.Path)
+			return v
+		}
 	}
 	out.Success = true
 	out.Unique = len(out.Path)
 	out.classify()
+	return -1
 }
 
 // cutDeadline resets r to the engine's budget-cut shape: a failed

@@ -136,28 +136,56 @@ func TestGreedyCSRBudgetMatchesEngineCut(t *testing.T) {
 }
 
 // TestGreedyCSRZeroAlloc is the enforced allocation gate of the v2 hot path:
-// after warm-up, a GreedyCSR episode performs zero heap allocations.
+// after warm-up, an episode of the concrete walk performs zero heap
+// allocations in each of its four input combinations — the plain graph, a
+// shard's owned mask, a churned live overlay, and the overlay under a mask.
 func TestGreedyCSRZeroAlloc(t *testing.T) {
 	g := girgForRouting(t, 2000, 9)
-	rng := xrand.New(77)
-	var sc Scratch
-	var out Result
-	// Warm up: grow the scratch cache and the path buffer to steady state.
-	for i := 0; i < 50; i++ {
-		GreedyCSR(g, rng.IntN(g.N()), rng.IntN(g.N()), Budget{}, &sc, &out)
+	o := churnOverlay(t, g, 20, 13)
+	evens := func(n int) []bool {
+		owned := make([]bool, n)
+		for v := range owned {
+			owned[v] = v%2 == 0
+		}
+		return owned
 	}
-	srcs := make([]int, 64)
-	tgts := make([]int, 64)
-	for i := range srcs {
-		srcs[i], tgts[i] = rng.IntN(g.N()), rng.IntN(g.N())
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(64, func() {
-		GreedyCSR(g, tgts[i%64], srcs[i%64], Budget{}, &sc, &out)
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("GreedyCSR allocates %.1f times per episode, want 0", allocs)
+	for _, tc := range []struct {
+		name  string
+		o     *graph.Overlay
+		owned []bool
+	}{
+		{"plain", nil, nil},
+		{"masked", nil, evens(g.N())},
+		{"overlay", o, nil},
+		{"overlay+masked", o, evens(o.N())},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := g.N()
+			if tc.o != nil {
+				n = tc.o.N()
+			}
+			rng := xrand.New(77)
+			pairs := make([][2]int, 64)
+			for i := range pairs {
+				pairs[i] = [2]int{rng.IntN(n), rng.IntN(n)}
+			}
+			var sc Scratch
+			var out Result
+			// Warm up: grow the scratch cache and the path buffer to steady
+			// state.
+			for _, p := range pairs {
+				walk(g, tc.o, p[1], p[0], tc.owned, Budget{}, &sc, &out)
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				p := pairs[i%len(pairs)]
+				i++
+				walk(g, tc.o, p[1], p[0], tc.owned, Budget{}, &sc, &out)
+			})
+			if allocs != 0 {
+				t.Fatalf("walk allocates %.1f times per episode, want 0", allocs)
+			}
+		})
 	}
 }
 
@@ -221,28 +249,6 @@ func TestResultCopyInto(t *testing.T) {
 	dst.Path[0] = 99
 	if src.Path[0] == 99 {
 		t.Fatal("CopyInto aliases the source path")
-	}
-}
-
-// TestMovesMatchesTrajectory pins the satellite refactor: the deprecated
-// Trajectory is a thin conversion over Moves, and both replay the same
-// (V, W, Score) stream.
-func TestMovesMatchesTrajectory(t *testing.T) {
-	g := girgForRouting(t, 500, 31)
-	obj := NewStandard(g, 7)
-	res := Greedy(g, obj, 3)
-	evs := Moves(g, obj, res, 4)
-	hops := Trajectory(g, obj, res)
-	if len(evs) != len(res.Path) || len(hops) != len(res.Path) {
-		t.Fatalf("lengths: %d events, %d hops, %d path", len(evs), len(hops), len(res.Path))
-	}
-	for i, ev := range evs {
-		if ev.Episode != 4 || ev.Step != i {
-			t.Fatalf("event %d has coordinates (%d, %d)", i, ev.Episode, ev.Step)
-		}
-		if ev.V != hops[i].V || ev.W != hops[i].W || ev.Score != hops[i].Score {
-			t.Fatalf("event %d: %+v vs hop %+v", i, ev, hops[i])
-		}
 	}
 }
 

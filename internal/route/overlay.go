@@ -1,233 +1,18 @@
 package route
 
-import (
-	"time"
-
-	"repro/internal/graph"
-)
-
-// This file is the overlay-aware half of the concrete fast path: GreedyCSR
-// and GreedyCSRPartial lifted onto a live graph.Overlay. The base CSR scan
-// stays exactly as in GreedyCSR; each dirty vertex's sorted add/del delta
-// is merged into the scan in place (two-pointer walks, no allocation), and
-// added vertices read their adjacency straight from the delta. Scores,
-// comparison order and tie-breaks are GreedyCSR's, so routing over an
-// overlay is bit-identical to routing over Overlay.Materialize() — the
-// invariant that lets a compactor hot-swap the folded snapshot in without
-// changing a single answer.
-//
-// A tombstoned current vertex reads an empty adjacency and classifies as
-// the existing dead-end failure — a walk that reaches a departed vertex
-// (or starts on one) degrades, it never panics or hangs.
-
-// overlayScorer is the shared scoring state of the overlay fast paths.
-type overlayScorer struct {
-	o       *graph.Overlay
-	t       int
-	norm    float64
-	scores  []float64
-	stamps  []uint32
-	epoch   uint32
-	baseN   int
-	weights []float64
-}
-
-func newOverlayScorer(o *graph.Overlay, t int, sc *Scratch) overlayScorer {
-	sc.beginScores(o.N())
-	return overlayScorer{
-		o:       o,
-		t:       t,
-		norm:    1 / (o.WMin() * o.Intensity()),
-		scores:  sc.scores,
-		stamps:  sc.stamps,
-		epoch:   sc.epoch,
-		baseN:   o.Base().N(),
-		weights: o.Base().Weights(),
-	}
-}
-
-// score is phi(v) with epoch-stamped memoization, spelled exactly as
-// GreedyCSR's inline closure so the float sequence is bit-identical.
-func (s *overlayScorer) score(v int) float64 {
-	if s.stamps[v] == s.epoch {
-		return s.scores[v]
-	}
-	var ph float64
-	if v == s.t {
-		ph = inf
-	} else {
-		w := 1.0
-		if v >= s.baseN {
-			w = s.o.Weight(v)
-		} else if s.weights != nil {
-			w = s.weights[v]
-		}
-		space := s.o.Space()
-		ph = w * s.norm / space.DistPow(s.o.Pos(v), s.o.Pos(s.t))
-	}
-	s.scores[v] = ph
-	s.stamps[v] = s.epoch
-	return ph
-}
+import "repro/internal/graph"
 
 // GreedyCSROverlay is GreedyCSR over a live overlay: Algorithm 1 from s
-// toward t under the standard objective, scanning merged adjacency (base
-// CSR minus per-vertex del plus add) without allocating. The episode is
-// bit-identical to GreedyCSR(o.Materialize(), t, s, ...): identical scores
-// in a score-equivalent comparison order, identical budget accounting.
-// Pass the overlay's own N()-sized scratch; added vertices score like any
-// other.
+// toward t under the standard objective, run by the same walk as GreedyCSR
+// with each dirty vertex's sorted add/del delta merged into its base CSR row
+// in place (two-pointer, no allocation) and added vertices reading their
+// adjacency straight from the delta. The episode is bit-identical to
+// GreedyCSR(o.Materialize(), t, s, ...) — the invariant that lets a
+// compactor hot-swap the folded snapshot in without changing a single
+// answer. A tombstoned current vertex reads an empty adjacency and
+// classifies as the ordinary dead-end failure, so a walk that reaches a
+// departed vertex (or starts on one) degrades, never panics or hangs. Pass
+// the overlay's own N()-sized scratch; added vertices score like any other.
 func GreedyCSROverlay(o *graph.Overlay, t, s int, b Budget, sc *Scratch, out *Result) {
-	out.reset(s)
-	base := o.Base()
-	offsets, adj := base.CSR()
-	sco := newOverlayScorer(o, t, sc)
-	baseN := sco.baseN
-
-	scans := 0
-	v := s
-	for v != t {
-		scans++
-		if b.MaxScans > 0 && scans > b.MaxScans {
-			out.cutDeadline(s)
-			return
-		}
-		if !b.Deadline.IsZero() && time.Now().After(b.Deadline) {
-			out.cutDeadline(s)
-			return
-		}
-		best := -1
-		var bestScore float64
-		if !o.Tombstoned(v) {
-			add, del := o.Delta(v)
-			var bs []int32
-			if v < baseN {
-				bs = adj[offsets[v]:offsets[v+1]]
-			}
-			ai, di := 0, 0
-			for _, u32 := range bs {
-				for di < len(del) && del[di] < u32 {
-					di++
-				}
-				if di < len(del) && del[di] == u32 {
-					continue
-				}
-				for ai < len(add) && add[ai] < u32 {
-					u := int(add[ai])
-					ai++
-					su := sco.score(u)
-					if best == -1 || better(su, bestScore, u, best) {
-						best, bestScore = u, su
-					}
-				}
-				u := int(u32)
-				su := sco.score(u)
-				if best == -1 || better(su, bestScore, u, best) {
-					best, bestScore = u, su
-				}
-			}
-			for ; ai < len(add); ai++ {
-				u := int(add[ai])
-				su := sco.score(u)
-				if best == -1 || better(su, bestScore, u, best) {
-					best, bestScore = u, su
-				}
-			}
-		}
-		if best < 0 || !better(bestScore, sco.score(v), best, v) {
-			out.Stuck = v
-			out.Unique = len(out.Path)
-			out.classify()
-			return
-		}
-		out.step(best)
-		v = best
-	}
-	out.Success = true
-	out.Unique = len(out.Path)
-	out.classify()
-}
-
-// GreedyCSROverlayPartial is GreedyCSRPartial over a live overlay: the
-// shard-local segment of a greedy walk on the mutating graph. owned must
-// have length o.N() — the shard map is responsible for assigning added
-// vertices to shards before they become routable. Exit semantics match
-// GreedyCSRPartial exactly: exit >= 0 hands the walk to the owner of that
-// vertex with the segment unclassified, exit == -1 is a terminal episode
-// (delivered, dead-end — including a tombstoned current vertex — or a
-// budget cut).
-func GreedyCSROverlayPartial(o *graph.Overlay, t, s int, owned []bool, b Budget, sc *Scratch, out *Result) (exit int) {
-	out.reset(s)
-	base := o.Base()
-	offsets, adj := base.CSR()
-	sco := newOverlayScorer(o, t, sc)
-	baseN := sco.baseN
-
-	scans := 0
-	v := s
-	for v != t {
-		scans++
-		if b.MaxScans > 0 && scans > b.MaxScans {
-			out.cutDeadline(s)
-			return -1
-		}
-		if !b.Deadline.IsZero() && time.Now().After(b.Deadline) {
-			out.cutDeadline(s)
-			return -1
-		}
-		best := -1
-		var bestScore float64
-		if !o.Tombstoned(v) {
-			add, del := o.Delta(v)
-			var bs []int32
-			if v < baseN {
-				bs = adj[offsets[v]:offsets[v+1]]
-			}
-			ai, di := 0, 0
-			for _, u32 := range bs {
-				for di < len(del) && del[di] < u32 {
-					di++
-				}
-				if di < len(del) && del[di] == u32 {
-					continue
-				}
-				for ai < len(add) && add[ai] < u32 {
-					u := int(add[ai])
-					ai++
-					su := sco.score(u)
-					if best == -1 || better(su, bestScore, u, best) {
-						best, bestScore = u, su
-					}
-				}
-				u := int(u32)
-				su := sco.score(u)
-				if best == -1 || better(su, bestScore, u, best) {
-					best, bestScore = u, su
-				}
-			}
-			for ; ai < len(add); ai++ {
-				u := int(add[ai])
-				su := sco.score(u)
-				if best == -1 || better(su, bestScore, u, best) {
-					best, bestScore = u, su
-				}
-			}
-		}
-		if best < 0 || !better(bestScore, sco.score(v), best, v) {
-			out.Stuck = v
-			out.Unique = len(out.Path)
-			out.classify()
-			return -1
-		}
-		out.step(best)
-		v = best
-		if v != t && !owned[v] {
-			out.Unique = len(out.Path)
-			return v
-		}
-	}
-	out.Success = true
-	out.Unique = len(out.Path)
-	out.classify()
-	return -1
+	walk(o.Base(), o, t, s, nil, b, sc, out)
 }

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -176,9 +177,10 @@ func TestGreedyCSROverlayTombstonedDeadEnd(t *testing.T) {
 }
 
 // TestGreedyCSROverlayPartialStitch splits the overlay's id space into two
-// synthetic shards and checks the stitched segments reproduce the
-// single-node overlay episode bit for bit — the cluster invariant lifted
-// onto live graphs.
+// synthetic shards and checks the stitched segments of the overlay+masked
+// walk reproduce the single-node overlay episode bit for bit — the cluster
+// invariant lifted onto live graphs — unbudgeted and under the scan budgets
+// whose cuts must land on the same scan.
 func TestGreedyCSROverlayPartialStitch(t *testing.T) {
 	g := girgForRouting(t, 1500, 25)
 	o := churnOverlay(t, g, 25, 11)
@@ -194,54 +196,41 @@ func TestGreedyCSROverlayPartialStitch(t *testing.T) {
 	var full, seg Result
 	for i := 0; i < 40; i++ {
 		s, tgt := rng.IntN(o.N()), rng.IntN(o.N())
-		GreedyCSROverlay(o, tgt, s, Budget{}, &scFull, &full)
+		for _, cap := range []int{0, 1, 2, 3, 5} {
+			GreedyCSROverlay(o, tgt, s, Budget{MaxScans: cap}, &scFull, &full)
 
-		var stitched Result
-		stitched.Path = append(stitched.Path[:0], s)
-		cur, hops := s, 0
-		for {
-			shard := cur % 2
-			exit := GreedyCSROverlayPartial(o, tgt, cur, owned[shard], Budget{}, &scSeg, &seg)
-			stitched.Path = append(stitched.Path, seg.Path[1:]...)
-			if exit < 0 {
-				stitched.Success = seg.Success
-				stitched.Stuck = seg.Stuck
-				stitched.Failure = seg.Failure
-				stitched.Truncated = seg.Truncated
-				break
+			var stitched Result
+			stitched.Path = append(stitched.Path[:0], s)
+			cur := s
+			for {
+				// Each segment gets the scans the walk has left, one per
+				// move so far (cap 0 leaves a non-positive count: no cap).
+				left := cap - (len(stitched.Path) - 1)
+				cut, exit := cap > 0 && left == 0, -1
+				if !cut {
+					exit = walk(g, o, tgt, cur, owned[cur%2], Budget{MaxScans: left}, &scSeg, &seg)
+					cut = seg.Failure == FailDeadline
+				}
+				if cut {
+					stitched = Result{Path: []int{s}, Stuck: -1, Failure: FailDeadline}
+					break
+				}
+				stitched.Path = append(stitched.Path, seg.Path[1:]...)
+				if exit < 0 {
+					stitched.Success = seg.Success
+					stitched.Stuck = seg.Stuck
+					stitched.Failure = seg.Failure
+					stitched.Truncated = seg.Truncated
+					break
+				}
+				cur = exit
+				if len(stitched.Path) > o.N() {
+					t.Fatal("stitch loop did not terminate")
+				}
 			}
-			cur = exit
-			if hops++; hops > o.N() {
-				t.Fatal("stitch loop did not terminate")
-			}
+			stitched.Moves = len(stitched.Path) - 1
+			stitched.Unique = len(stitched.Path)
+			sameEpisode(t, fmt.Sprintf("stitched, MaxScans %d", cap), full, stitched)
 		}
-		stitched.Moves = len(stitched.Path) - 1
-		stitched.Unique = len(stitched.Path)
-		sameEpisode(t, "stitched", full, stitched)
-	}
-}
-
-func TestGreedyCSROverlayZeroAlloc(t *testing.T) {
-	g := girgForRouting(t, 2000, 26)
-	o := churnOverlay(t, g, 20, 13)
-	var sc Scratch
-	var out Result
-	rng := xrand.New(14)
-	pairs := make([][2]int, 64)
-	for i := range pairs {
-		pairs[i] = [2]int{rng.IntN(o.N()), rng.IntN(o.N())}
-	}
-	// Warm the path buffer.
-	for _, p := range pairs {
-		GreedyCSROverlay(o, p[1], p[0], Budget{}, &sc, &out)
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		p := pairs[i%len(pairs)]
-		i++
-		GreedyCSROverlay(o, p[1], p[0], Budget{}, &sc, &out)
-	})
-	if allocs != 0 {
-		t.Fatalf("GreedyCSROverlay allocates %.1f per episode, want 0", allocs)
 	}
 }

@@ -521,7 +521,7 @@ func TestTrajectoryRecords(t *testing.T) {
 	g.weights = []float64{1, 5, 2}
 	obj := scoreObjective([]float64{1, 2, 0}, 2)
 	res := Greedy(g, obj, 0)
-	hops := Trajectory(g, obj, res)
+	hops := Moves(g, obj, res, 0)
 	if len(hops) != 3 {
 		t.Fatalf("hops %v", hops)
 	}

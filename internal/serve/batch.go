@@ -360,7 +360,7 @@ func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request) {
 	for i, item := range req.Items {
 		protoName := item.Protocol
 		if protoName == "" {
-			protoName = string(core.ProtoGreedy)
+			protoName = "greedy"
 		}
 		results[i].S, results[i].T = item.S, item.T
 		if clientGone {

@@ -85,7 +85,7 @@ func (s *Server) peerBreaker(peer, graph string) *Breaker {
 func (s *Server) clusterEligible(nw *core.Network, protoName string, q RouteRequest) bool {
 	node := s.clusterNode
 	return node != nil &&
-		protoName == string(core.ProtoGreedy) &&
+		protoName == "greedy" &&
 		nw.StandardPhi &&
 		len(q.Faults) == 0 &&
 		nw.Graph == node.Graph() &&

@@ -328,7 +328,7 @@ func (s *Server) Breaker(graph, proto string) *Breaker {
 		graph = DefaultGraph
 	}
 	if proto == "" {
-		proto = string(core.ProtoGreedy)
+		proto = "greedy"
 	}
 	return s.breaker(graph, proto)
 }
@@ -554,7 +554,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	}
 	protoName := req.Protocol
 	if protoName == "" {
-		protoName = string(core.ProtoGreedy)
+		protoName = "greedy"
 	}
 	if _, err := core.Lookup(protoName); err != nil {
 		writeError(w, http.StatusNotFound, 0, "%v", err)
