@@ -144,17 +144,25 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatal("daemon did not exit on SIGTERM")
 	}
 
-	// -trace-out flushed the held traces as JSONL on shutdown.
+	// -trace-out flushed the held spans as JSONL on shutdown: every line is
+	// one PhaseSpan, and the routed request's local_route span carries its
+	// hops from s.
 	data, err := os.ReadFile(traceOut)
 	if err != nil {
 		t.Fatalf("trace-out file: %v", err)
 	}
-	var tr obs.Trace
-	if err := json.Unmarshal(bytes.Split(bytes.TrimSpace(data), []byte("\n"))[0], &tr); err != nil {
-		t.Fatalf("trace-out first line does not parse: %v", err)
+	walked := false
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var sp obs.PhaseSpan
+		if err := json.Unmarshal(line, &sp); err != nil || sp.Trace == "" || sp.ID == "" || sp.Kind == "" {
+			t.Fatalf("trace-out line is not a span (err %v): %s", err, line)
+		}
+		if sp.Kind == obs.SpanLocalRoute && len(sp.Hops) > 0 && sp.Hops[0].V == 1 {
+			walked = true
+		}
 	}
-	if tr.ID == "" || len(tr.Spans) == 0 {
-		t.Fatalf("trace-out trace = %+v", tr)
+	if !walked {
+		t.Fatalf("no local_route span in trace-out carries hops from s=1:\n%s", data)
 	}
 }
 

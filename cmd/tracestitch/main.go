@@ -1,12 +1,10 @@
-// tracestitch merges the span JSONL of several daemons into per-trace trees
-// and attributes each request's wall-clock time to phases along its critical
-// path.
+// tracestitch merges the span JSONL of several daemons into per-trace trees,
+// attributes each request's wall-clock time to phases along its critical
+// path, and stitches each request's routing trajectory across shards.
 //
 // Input files are the daemons' -trace-out dumps (or GET /debug/trace
-// captures). Each file mixes two record shapes on one stream: episode traces
-// from the per-hop tracer (an "id" key) and distributed phase spans (a
-// "trace" key). tracestitch reads only the spans; everything else is
-// skipped, so pointing it at a combined stream just works.
+// captures): one obs.PhaseSpan per line. Lines that do not decode as a span
+// (blank, truncated, foreign records) are counted and skipped.
 //
 // The critical path of a trace tiles the root span's interval: time covered
 // by a child span recurses into that child, gaps belong to the enclosing
@@ -14,6 +12,16 @@
 // primary) the one that ends later carries the path — the parallel loser is
 // redundant work, not latency. Per-phase sums over those segments therefore
 // add up to the end-to-end duration exactly.
+//
+// The trajectory comes from the hops on the trace's local_route spans. A
+// segment that crossed a shard boundary ends on the exit vertex, and the
+// owning daemon's segment starts on it, so the segments chain by that
+// junction vertex into the walk the entry daemon returned. obs.Analyze then
+// splits the chain at its max-weight hop into the paper's Figure 1 phases
+// (weight climb into the core, objective descent to t); peak_service names
+// the daemon holding that core vertex. A trace whose entry routed more than
+// one walk (retried attempts, batch items) or whose hops were cut is counted
+// in walks_skipped instead.
 //
 // With -check, tracestitch is a CI gate: it exits nonzero when any span is
 // an orphan (its parent id is not in its trace), when a trace has no single
@@ -66,6 +74,27 @@ type Trace struct {
 	DupIDs int `json:"duplicate_span_ids,omitempty"`
 	// Roots counts parentless spans (1 in a well-formed trace).
 	Roots int `json:"roots"`
+	// Walk is the routing trajectory stitched from the trace's hops (nil when
+	// the trace routed none or its walk was skipped).
+	Walk *Walk `json:"walk,omitempty"`
+	// WalkSkipped reports a trajectory that could not be stitched: the
+	// entry routed more than one walk, or a segment's hops were cut.
+	WalkSkipped bool `json:"-"`
+}
+
+// Walk is one request's trajectory chained across daemons and split into
+// the two phases of the paper's Figure 1.
+type Walk struct {
+	Trace string `json:"trace"`
+	// Segments counts the local_route spans chained (1 = one daemon).
+	Segments      int  `json:"segments"`
+	Hops          int  `json:"hops"`
+	WeightHops    int  `json:"weight_hops"`
+	ObjectiveHops int  `json:"objective_hops"`
+	TwoPhase      bool `json:"two_phase"`
+	// PeakService is the daemon holding the max-weight hop: the shard that
+	// hosts the core vertex the walk climbed to.
+	PeakService string `json:"peak_service"`
 }
 
 // Report is the aggregate the -out flag writes.
@@ -80,6 +109,8 @@ type Report struct {
 	BadRoots     int              `json:"traces_without_single_root"`
 	PhasesUs     map[string]int64 `json:"phases_us"`
 	TotalUs      int64            `json:"total_us"`
+	Walks        []*Walk          `json:"walks"`
+	WalksSkipped int              `json:"walks_skipped"`
 	TracesOut    []*Trace         `json:"worst_traces,omitempty"`
 }
 
@@ -121,6 +152,7 @@ func run(args []string, out io.Writer) error {
 		Skipped:  skipped,
 		Traces:   len(traces),
 		PhasesUs: map[string]int64{},
+		Walks:    []*Walk{},
 	}
 	for _, tr := range traces {
 		rep.Orphans += tr.Orphans
@@ -135,6 +167,12 @@ func run(args []string, out io.Writer) error {
 			rep.PhasesUs[k] += us
 		}
 		rep.TotalUs += tr.DurUs
+		if tr.Walk != nil {
+			rep.Walks = append(rep.Walks, tr.Walk)
+		}
+		if tr.WalkSkipped {
+			rep.WalksSkipped++
+		}
 	}
 
 	// Slowest traces first for the -top table and the report's worst list.
@@ -190,8 +228,8 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// readSpans decodes the phase-span lines of one JSONL stream, counting and
-// skipping everything else (episode traces, blank lines).
+// readSpans decodes the span lines of one JSONL stream, counting and
+// skipping lines that are not spans (blank lines are ignored).
 func readSpans(r io.Reader) ([]obs.PhaseSpan, int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 16<<20)
@@ -203,8 +241,8 @@ func readSpans(r io.Reader) ([]obs.PhaseSpan, int, error) {
 			continue
 		}
 		var sp obs.PhaseSpan
-		// A span line always carries trace and span ids; tracer episode
-		// lines have neither field and decode to zero values.
+		// A span line always carries trace and span ids; any other JSON
+		// decodes to zero values.
 		if err := json.Unmarshal(line, &sp); err != nil || sp.Trace == "" || sp.ID == "" {
 			skipped++
 			continue
@@ -276,10 +314,71 @@ func stitch(spans []obs.PhaseSpan) []*Trace {
 			for k, v := range ns {
 				tr.Phases[k] = v / 1e3
 			}
+			tr.Walk, tr.WalkSkipped = stitchWalk(id, group, children[tr.Root.ID])
 		}
 		out = append(out, tr)
 	}
 	return out
+}
+
+// stitchWalk chains the hop lists of a trace's local_route spans (group, in
+// start order) into one trajectory. The entry segment is the root's only
+// local_route child; each next segment is an unused local_route span
+// starting on the vertex the chain ends on. Replicas that raced a hedged
+// hop walk identical segments, so whichever matches first gives the same
+// hops. The junction vertex is attributed to the later segment's daemon,
+// which owns it. skipped reports a trajectory that cannot be stitched.
+func stitchWalk(id string, group, rootChildren []*obs.PhaseSpan) (w *Walk, skipped bool) {
+	var entry *obs.PhaseSpan
+	for _, c := range rootChildren {
+		if c.Kind == obs.SpanLocalRoute {
+			if entry != nil {
+				return nil, true
+			}
+			entry = c
+		}
+	}
+	if entry == nil || len(entry.Hops) == 0 {
+		return nil, false
+	}
+	var (
+		hops     []obs.Hop
+		services []string
+		used     = map[*obs.PhaseSpan]bool{}
+		segments int
+	)
+	for seg := entry; seg != nil; {
+		if seg.HopsTruncated {
+			return nil, true
+		}
+		used[seg] = true
+		segments++
+		if n := len(hops); n > 0 {
+			hops, services = hops[:n-1], services[:n-1]
+		}
+		for _, h := range seg.Hops {
+			hops = append(hops, h)
+			services = append(services, seg.Service)
+		}
+		last := hops[len(hops)-1].V
+		seg = nil
+		for _, sp := range group {
+			if sp.Kind == obs.SpanLocalRoute && !used[sp] && len(sp.Hops) > 0 && sp.Hops[0].V == last {
+				seg = sp
+				break
+			}
+		}
+	}
+	ph := obs.Analyze(hops)
+	return &Walk{
+		Trace:         id,
+		Segments:      segments,
+		Hops:          ph.Hops,
+		WeightHops:    ph.WeightHops,
+		ObjectiveHops: ph.ObjectiveHops,
+		TwoPhase:      ph.TwoPhase,
+		PeakService:   services[ph.Boundary],
+	}, false
 }
 
 // criticalPath attributes sp's interval to phase kinds: child-covered time
@@ -335,6 +434,17 @@ func printReport(w io.Writer, rep *Report) {
 	if rep.Traces == 0 {
 		return
 	}
+	multi, twoPhase := 0, 0
+	for _, wk := range rep.Walks {
+		if wk.Segments >= 2 {
+			multi++
+		}
+		if wk.TwoPhase {
+			twoPhase++
+		}
+	}
+	fmt.Fprintf(w, "walks %d stitched (%d across 2+ segments, %d two-phase), %d skipped\n",
+		len(rep.Walks), multi, twoPhase, rep.WalksSkipped)
 	fmt.Fprintf(w, "\nphase attribution across %d trace(s), %.3fms total:\n", rep.Traces, float64(rep.TotalUs)/1e3)
 	kinds := make([]string, 0, len(rep.PhasesUs))
 	for k := range rep.PhasesUs {
@@ -353,6 +463,10 @@ func printReport(w io.Writer, rep *Report) {
 		fmt.Fprintf(w, "\nslowest %d trace(s):\n", len(rep.TracesOut))
 		for _, tr := range rep.TracesOut {
 			fmt.Fprintf(w, "  %s  %.3fms  %d span(s)  %v\n", tr.ID, float64(tr.DurUs)/1e3, tr.Spans, tr.Services)
+			if wk := tr.Walk; wk != nil {
+				fmt.Fprintf(w, "    walk: %d hop(s) = %d weight + %d objective, two-phase %v, peak on %s\n",
+					wk.Hops, wk.WeightHops, wk.ObjectiveHops, wk.TwoPhase, wk.PeakService)
+			}
 			kinds := make([]string, 0, len(tr.Phases))
 			for k := range tr.Phases {
 				kinds = append(kinds, k)

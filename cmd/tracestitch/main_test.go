@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -105,8 +106,8 @@ func TestStitchDetectsOrphans(t *testing.T) {
 	}
 }
 
-// readSpans skips tracer episode lines and decodes span lines from a mixed
-// stream — the /debug/trace layout.
+// readSpans decodes the span lines of a stream and counts everything else
+// (a foreign record, garbage) as skipped; blank lines are ignored.
 func TestReadSpansMixedStream(t *testing.T) {
 	in := `{"id":"abc123","graph":"default","hops":[{"v":1}]}
 {"trace":"t1","span":"r","service":"d0","kind":"request","start_unix_ns":0,"dur_ns":5}
@@ -120,5 +121,52 @@ not json at all
 	}
 	if len(spans) != 2 || skipped != 2 {
 		t.Fatalf("spans %d skipped %d, want 2/2", len(spans), skipped)
+	}
+}
+
+// walkSpans extends testSpans with hops: d0 walks 3 -> 10 and exits on 10,
+// which d1 owns; d1 climbs to the core vertex 20 and descends to t = 99.
+func walkSpans() []obs.PhaseSpan {
+	spans := testSpans()
+	spans[2].Hops = []obs.Hop{{Step: 0, V: 3, W: 1}, {Step: 1, V: 10, W: 5, Score: 1}}
+	spans[5].Hops = []obs.Hop{{Step: 0, V: 10, W: 5, Score: 1}, {Step: 1, V: 20, W: 50, Score: 2}, {Step: 2, V: 99, W: 2, Score: math.Inf(1)}}
+	return spans
+}
+
+// TestStitchWalkAcrossShards chains the two daemons' segments at their
+// junction vertex and splits the chain at its max-weight hop.
+func TestStitchWalkAcrossShards(t *testing.T) {
+	tr := stitch(walkSpans())[0]
+	want := Walk{Trace: "t1", Segments: 2, Hops: 3, WeightHops: 2, ObjectiveHops: 1, TwoPhase: true, PeakService: "d1"}
+	if tr.Walk == nil || *tr.Walk != want || tr.WalkSkipped {
+		t.Fatalf("walk = %+v (skipped %v), want %+v", tr.Walk, tr.WalkSkipped, want)
+	}
+
+	// A hedged hop served by two replicas yields two identical segments:
+	// the chain takes one of them and still ends.
+	spans := walkSpans()
+	dup := spans[5]
+	dup.ID, dup.Service = "l3", "d2"
+	tr = stitch(append(spans, dup))[0]
+	if tr.Walk == nil || tr.Walk.Segments != 2 || tr.Walk.Hops != 3 {
+		t.Fatalf("hedged walk = %+v", tr.Walk)
+	}
+}
+
+// TestStitchWalkSkips counts a trace whose entry routed two walks (a retry)
+// or whose hops were cut as skipped, and stitches none for a trace without
+// hops.
+func TestStitchWalkSkips(t *testing.T) {
+	retried := append(walkSpans(), obs.PhaseSpan{Trace: "t1", ID: "l0", Parent: "r", Service: "d0",
+		Kind: obs.SpanLocalRoute, Start: 5_000, Dur: 1_000, Hops: []obs.Hop{{V: 3}}})
+	cut := walkSpans()
+	cut[5].HopsTruncated = true
+	for name, spans := range map[string][]obs.PhaseSpan{"retried": retried, "truncated": cut} {
+		if tr := stitch(spans)[0]; tr.Walk != nil || !tr.WalkSkipped {
+			t.Fatalf("%s: walk %+v, skipped %v", name, tr.Walk, tr.WalkSkipped)
+		}
+	}
+	if tr := stitch(testSpans())[0]; tr.Walk != nil || tr.WalkSkipped {
+		t.Fatalf("hop-less trace: walk %+v, skipped %v", tr.Walk, tr.WalkSkipped)
 	}
 }

@@ -182,11 +182,11 @@ func runF1(cfg Config) (Table, error) {
 	// The trace phase analyzer (obs.Analyze) splits the same trajectory at
 	// its max-weight hop; its phase lengths are the machine-readable form of
 	// the table above and the invariant the observability tests assert.
-	spans := make([]obs.Span, len(hops))
+	trajectory := make([]obs.Hop, len(hops))
 	for i, h := range hops {
-		spans[i] = obs.Span{Step: i, W: h.W, Score: h.Score}
+		trajectory[i] = obs.Hop{Step: i, W: h.W, Score: h.Score}
 	}
-	ph := obs.Analyze(spans)
+	ph := obs.Analyze(trajectory)
 	t.SetMetric("weight_phase_hops", float64(ph.WeightHops))
 	t.SetMetric("objective_phase_hops", float64(ph.ObjectiveHops))
 	t.AddNote("phase analyzer: %d weight-phase hops, %d objective-phase hops (boundary at the max-weight hop); two-phase shape: %v",

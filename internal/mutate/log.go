@@ -393,16 +393,23 @@ func (l *Log) Compact() error {
 		return fmt.Errorf("mutate: compaction already in progress")
 	}
 	defer l.compacting.Store(false)
-	return l.compact()
-}
-
-func (l *Log) compact() error {
-	// Phase 1: capture.
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return fmt.Errorf("mutate: log closed")
 	}
+	l.wg.Add(1) // under the lock, so Close's Wait sees it
+	l.mu.Unlock()
+	defer l.wg.Done()
+	return l.compact()
+}
+
+// compact runs one compaction. Callers hold the compacting flag and a wg
+// slot taken while the log was open, so Close waits for the commit instead
+// of cutting it off.
+func (l *Log) compact() error {
+	// Phase 1: capture.
+	l.mu.Lock()
 	ov, upTo, oldGen := l.ov, l.seq, l.gen
 	l.mu.Unlock()
 
@@ -433,10 +440,6 @@ func (l *Log) compact() error {
 	// Phase 3: commit.
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		os.Remove(snapPath)
-		return fmt.Errorf("mutate: log closed")
-	}
 	abort := func(nj *ckpt.Journal, err error) error {
 		if nj != nil {
 			nj.Close()
@@ -502,8 +505,9 @@ func (l *Log) compact() error {
 	return nil
 }
 
-// Close waits for any background compaction and releases the journal. The
-// log is unusable afterwards.
+// Close refuses further batches and compactions, waits for one already
+// running to commit, and releases the journal. The log is unusable
+// afterwards.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {

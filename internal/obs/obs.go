@@ -13,14 +13,15 @@
 //     it in an X-Request-ID header and threads it via WithRequestID /
 //     WithLogger so every slog line of the request carries the same id.
 //
-//   - trace recorder: Tracer captures bounded per-hop spans of routing
-//     episodes (hop index, vertex, model weight, objective value) with
-//     deterministic sampling, keeps a bounded ring of completed traces and
-//     exports them as JSONL (the daemon serves GET /debug/trace).
+//   - trace recorder: SpanLog keeps a bounded ring of PhaseSpans — the
+//     timed phases of sampled requests, with deterministic trace and span
+//     ids propagated across daemons — and exports them as one JSONL record
+//     type (the daemon serves GET /debug/trace). A local_route span carries
+//     the hops (vertex, model weight, objective value) its walk took.
 //
-//   - phase analyzer: Analyze splits a trace at its maximum-weight hop into
-//     the weight-increasing and objective-increasing phases of Figure 1, so
-//     experiments and dashboards can report phase lengths.
+//   - phase analyzer: Analyze splits a hop trajectory at its maximum-weight
+//     hop into the weight-increasing and objective-increasing phases of
+//     Figure 1, so experiments and cmd/tracestitch can report phase lengths.
 //
 //   - Prometheus exposition: PromWriter emits the text exposition format
 //     without any dependency; WriteEngineMetrics and WriteRuntimeMetrics

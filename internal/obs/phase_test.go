@@ -1,18 +1,21 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
 	"testing"
 
 	"repro/internal/girg"
 	"repro/internal/route"
 )
 
-func spansOfWeights(ws ...float64) []Span {
-	spans := make([]Span, len(ws))
+func hopsOfWeights(ws ...float64) []Hop {
+	hops := make([]Hop, len(ws))
 	for i, w := range ws {
-		spans[i] = Span{Step: i, W: w, Score: float64(i)}
+		hops[i] = Hop{Step: i, W: w, Score: float64(i)}
 	}
-	return spans
+	return hops
 }
 
 // TestAnalyzeShapes covers the analyzer's boundary cases: empty, single
@@ -35,7 +38,7 @@ func TestAnalyzeShapes(t *testing.T) {
 			Phases{Hops: 3, Boundary: 1, PeakW: 9, WeightHops: 1, ObjectiveHops: 2, TwoPhase: true}},
 	}
 	for _, c := range cases {
-		if got := Analyze(spansOfWeights(c.ws...)); got != c.want {
+		if got := Analyze(hopsOfWeights(c.ws...)); got != c.want {
 			t.Errorf("%s: Analyze = %+v, want %+v", c.name, got, c.want)
 		}
 	}
@@ -44,7 +47,7 @@ func TestAnalyzeShapes(t *testing.T) {
 // TestAnalyzeSumsToHops checks the phase lengths always partition the path.
 func TestAnalyzeSumsToHops(t *testing.T) {
 	for _, ws := range [][]float64{{1}, {1, 2}, {2, 1}, {1, 5, 2}, {3, 1, 4, 1, 5, 9, 2, 6}} {
-		p := Analyze(spansOfWeights(ws...))
+		p := Analyze(hopsOfWeights(ws...))
 		if p.WeightHops+p.ObjectiveHops != p.Hops {
 			t.Errorf("weights %v: %d + %d != %d hops", ws, p.WeightHops, p.ObjectiveHops, p.Hops)
 		}
@@ -52,9 +55,9 @@ func TestAnalyzeSumsToHops(t *testing.T) {
 }
 
 // TestGIRGTraceTwoPhase is the Figure-1 acceptance check: a greedy episode on
-// a sparse GIRG between planted low-weight, far-apart endpoints, captured
-// through the Tracer, must decompose into a non-trivial weight phase followed
-// by a non-trivial objective phase (the paper's two-phase trajectory shape).
+// a sparse GIRG between planted low-weight, far-apart endpoints, replayed into
+// hops, must decompose into a non-trivial weight phase followed by a
+// non-trivial objective phase (the paper's two-phase trajectory shape).
 func TestGIRGTraceTwoPhase(t *testing.T) {
 	p := girg.DefaultParams(30000)
 	p.FixedN = true
@@ -75,27 +78,48 @@ func TestGIRGTraceTwoPhase(t *testing.T) {
 		if !res.Success || res.Moves < 4 {
 			continue
 		}
-		tr := NewTracer(TracerConfig{SampleRate: 1, Seed: seed, Protocol: "greedy"})
-		route.Observe(g, obj, res, 0, tr)
-		tr.Flush()
-		traces := tr.Traces()
-		if len(traces) != 1 {
-			t.Fatalf("seed %d: captured %d traces, want 1", seed, len(traces))
+		var hops []Hop
+		for _, ev := range route.Moves(g, obj, res, 0) {
+			hops = append(hops, Hop{Step: ev.Step, V: ev.V, W: ev.W, Score: ev.Score})
 		}
-		ph := AnalyzeTrace(traces[0])
+		if len(hops) != len(res.Path) || !math.IsInf(hops[len(hops)-1].Score, 1) {
+			t.Fatalf("seed %d: %d hops for a %d-vertex path, last %+v", seed, len(hops), len(res.Path), hops[len(hops)-1])
+		}
+		ph := Analyze(hops)
 		if !ph.TwoPhase {
 			continue // short paths can peak at an endpoint; try another draw
 		}
 		if ph.WeightHops < 1 || ph.ObjectiveHops < 1 {
 			t.Fatalf("seed %d: TwoPhase with empty phase: %+v", seed, ph)
 		}
-		if ph.PeakW <= traces[0].Spans[0].W {
+		if ph.PeakW <= hops[0].W {
 			t.Fatalf("seed %d: peak weight %.2f does not rise above the planted start %.2f",
-				seed, ph.PeakW, traces[0].Spans[0].W)
+				seed, ph.PeakW, hops[0].W)
 		}
 		t.Logf("seed %d: %d hops = %d weight-phase + %d objective-phase, peak w %.1f",
 			seed, ph.Hops, ph.WeightHops, ph.ObjectiveHops, ph.PeakW)
 		return
 	}
 	t.Fatal("no two-phase greedy trajectory found in 30 graph draws")
+}
+
+// TestSpanJSONNonFinite round-trips the +Inf score the standard objective
+// assigns the target vertex — bare JSON numbers cannot carry it, so the wire
+// form of a Hop spells it as a string.
+func TestSpanJSONNonFinite(t *testing.T) {
+	in := Hop{Step: 2, V: 7, W: 1.5, Score: math.Inf(1)}
+	b, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(b, []byte(`"score":"+Inf"`)) {
+		t.Fatalf("wire form = %s", b)
+	}
+	var out Hop
+	if err := json.Unmarshal(b, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out != in {
+		t.Fatalf("round trip = %+v, want %+v", out, in)
+	}
 }

@@ -133,19 +133,6 @@ func WriteEngineMetrics(p *PromWriter, s core.EngineStats) {
 	p.SampleInt("smallworld_engine_episode_duration_seconds_count", nil, cum)
 }
 
-// WriteTracerMetrics exposes the tracer's own health (nil t exports zeros).
-func WriteTracerMetrics(p *PromWriter, t *Tracer) {
-	s := t.Stats()
-	p.Family("smallworld_trace_sampled_total", "counter", "Routing episodes selected by trace sampling.")
-	p.SampleInt("smallworld_trace_sampled_total", nil, s.Sampled)
-	p.Family("smallworld_trace_published_total", "counter", "Completed traces added to the trace ring.")
-	p.SampleInt("smallworld_trace_published_total", nil, s.Published)
-	p.Family("smallworld_trace_spans_dropped_total", "counter", "Spans dropped by the per-trace span cap.")
-	p.SampleInt("smallworld_trace_spans_dropped_total", nil, s.Dropped)
-	p.Family("smallworld_trace_held", "gauge", "Completed traces currently held in the ring.")
-	p.SampleInt("smallworld_trace_held", nil, int64(s.Held))
-}
-
 // WriteRuntimeMetrics exposes the Go runtime: goroutines, heap and GC — the
 // numbers an operator checks first when a daemon misbehaves (deeper digging
 // goes through the pprof endpoints).

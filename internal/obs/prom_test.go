@@ -130,33 +130,21 @@ func TestWriteEngineMetricsLiveStats(t *testing.T) {
 	}
 }
 
-// TestWriteTracerAndRuntimeMetrics smoke-tests the remaining writers,
-// including the nil-tracer path the daemon uses when tracing is off.
-func TestWriteTracerAndRuntimeMetrics(t *testing.T) {
+// TestWriteRuntimeMetrics smoke-tests the Go runtime writer.
+func TestWriteRuntimeMetrics(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewPromWriter(&buf)
-	WriteTracerMetrics(p, nil)
 	WriteRuntimeMetrics(p)
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"smallworld_trace_sampled_total 0",
-		"smallworld_trace_held 0",
 		"smallworld_go_goroutines ",
 		"smallworld_go_heap_alloc_bytes ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
-	}
-
-	buf.Reset()
-	tr := NewTracer(TracerConfig{SampleRate: 1})
-	feed(tr, 3)
-	WriteTracerMetrics(NewPromWriter(&buf), tr)
-	if !strings.Contains(buf.String(), "smallworld_trace_published_total 3") {
-		t.Fatalf("tracer counters not exported:\n%s", buf.String())
 	}
 }

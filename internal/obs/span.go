@@ -8,15 +8,14 @@ import (
 	"sync"
 )
 
-// This file is the distributed half of the trace recorder: where Tracer
-// captures the per-hop trajectory of one routing episode inside one process,
-// the span model here captures where a *request* spent its wall-clock time
-// across the fleet — queueing, breaker checks, backoff sleeps, the local CSR
-// segment, forward RPCs, hedge waits, anti-entropy pulls — with ids that are
-// pure hashes (bit-identical at any GOMAXPROCS, like request ids), so two
-// runs of the same workload produce the same trace and span ids and
-// cmd/tracestitch can merge the JSONL of every daemon into one tree per
-// request.
+// This file is the trace recorder: the span model captures where a
+// *request* spent its wall-clock time across the fleet — queueing, breaker
+// checks, backoff sleeps, the local CSR segment, forward RPCs, hedge waits,
+// anti-entropy pulls — and, on each local_route span, the hops the walk took
+// there. Ids are pure hashes (bit-identical at any GOMAXPROCS, like request
+// ids), so two runs of the same workload produce the same trace and span ids
+// and cmd/tracestitch can merge the JSONL of every daemon into one tree per
+// request and one trajectory per walk.
 
 // Span kinds emitted by the serving layer. Kind is an open string — these
 // constants are the vocabulary cmd/tracestitch and the per-phase histograms
@@ -38,7 +37,7 @@ const (
 	// SpanRetryBackoff is one backoff sleep between routing attempts.
 	SpanRetryBackoff = "retry_backoff"
 	// SpanLocalRoute is one engine episode (or partial CSR segment) executed
-	// on the local shard.
+	// on the local shard; its Hops carry the walk's trajectory there.
 	SpanLocalRoute = "local_route"
 	// SpanForwardRPC is one POST /cluster/hop (or replicate/segment ship)
 	// round trip to a peer, named in Peer.
@@ -79,7 +78,19 @@ type PhaseSpan struct {
 	Detail string `json:"detail,omitempty"`
 	// Err is the failure that ended the span, "" on success.
 	Err string `json:"err,omitempty"`
+	// Hops is the trajectory of a local_route span: one event per vertex the
+	// walk visited on this daemon, in step order. A segment that crossed a
+	// shard boundary ends on the exit vertex, which the next daemon's
+	// segment starts on. At most MaxSpanHops are kept; HopsTruncated reports
+	// a cut tail.
+	Hops          []Hop `json:"hops,omitempty"`
+	HopsTruncated bool  `json:"hops_truncated,omitempty"`
 }
+
+// MaxSpanHops caps the hops one span carries, so a full ring stays bounded
+// (8192 spans x 64 hops) whatever protocol a sampled request ran; greedy
+// walks take a handful of hops.
+const MaxSpanHops = 64
 
 // TraceHeader is the header that propagates trace context on cluster RPCs
 // (POST /cluster/hop, /cluster/replicate, /cluster/segment), spelled like
@@ -239,10 +250,15 @@ func (l *SpanLog) InternalTraceID(seq uint64) string {
 	return DistTraceID(Hash64(l.cfg.Seed, 0xae17), seq)
 }
 
-// Publish appends one completed span to the ring.
+// Publish appends one completed span to the ring, cutting its hops to
+// MaxSpanHops. The ring keeps sp.Hops, so the caller must not reuse it.
 func (l *SpanLog) Publish(sp PhaseSpan) {
 	if l == nil {
 		return
+	}
+	if len(sp.Hops) > MaxSpanHops {
+		sp.Hops = append([]Hop(nil), sp.Hops[:MaxSpanHops]...)
+		sp.HopsTruncated = true
 	}
 	l.mu.Lock()
 	if l.wrapped {
@@ -274,8 +290,8 @@ func (l *SpanLog) Snapshot() []PhaseSpan {
 }
 
 // WriteJSONL streams the buffered spans as one JSON object per line — the
-// format cmd/tracestitch consumes and GET /debug/trace appends after the
-// episode traces.
+// format GET /debug/trace serves, -trace-out writes and cmd/tracestitch
+// consumes.
 func (l *SpanLog) WriteJSONL(w io.Writer) error {
 	if l == nil {
 		return nil

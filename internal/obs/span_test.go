@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -151,5 +153,83 @@ func TestSpanLogJSONL(t *testing.T) {
 	}
 	if sp.Parent != "s1" || sp.Peer != "d1" || sp.Err != "boom" {
 		t.Fatalf("decoded span %+v lost fields", sp)
+	}
+}
+
+// TestWriteJSONL round-trips spans through the export format, hops included:
+// a local_route span's trajectory, with the target's +Inf score, decodes to
+// the span that was published.
+func TestWriteJSONL(t *testing.T) {
+	l := NewSpanLog(SpanLogConfig{Service: "d0", Seed: 1, SampleRate: 1})
+	l.Publish(PhaseSpan{Trace: "t1", ID: "s1", Service: "d0", Kind: SpanRequest, Start: 100, Dur: 50, Detail: "rid"})
+	l.Publish(PhaseSpan{Trace: "t1", ID: "s2", Parent: "s1", Service: "d0", Kind: SpanLocalRoute, Start: 110, Dur: 20,
+		Hops: []Hop{{Step: 0, V: 3, W: 1.2, Score: 0.5}, {Step: 1, V: 40, W: 9, Score: 2}, {Step: 2, V: 99, W: 1.1, Score: math.Inf(1)}}})
+	var buf bytes.Buffer
+	if err := l.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"hops":[{"step":0,"v":3`) || !strings.Contains(buf.String(), `"score":"+Inf"`) {
+		t.Fatalf("wire form lost the hops:\n%s", buf.String())
+	}
+	dec := json.NewDecoder(&buf)
+	var got []PhaseSpan
+	for dec.More() {
+		var sp PhaseSpan
+		if err := dec.Decode(&sp); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, sp)
+	}
+	if !reflect.DeepEqual(got, l.Snapshot()) {
+		t.Fatalf("JSONL round trip mismatch:\n%+v\n%+v", got, l.Snapshot())
+	}
+}
+
+// TestPublishNormalizesSpans checks Publish leaves a span at or under the
+// hop cap as it came: a zero-hop span (every attempt crashed at the source)
+// keeps no hop list and serialises without "hops", and a full one keeps
+// every hop untruncated.
+func TestPublishNormalizesSpans(t *testing.T) {
+	for _, n := range []int{0, 5, MaxSpanHops} {
+		l := NewSpanLog(SpanLogConfig{Service: "s", SampleRate: 1})
+		sp := PhaseSpan{Trace: "t", ID: "a", Service: "s", Kind: SpanLocalRoute, Err: "crashed-target"}
+		for i := 0; i < n; i++ {
+			sp.Hops = append(sp.Hops, Hop{Step: i, V: i})
+		}
+		l.Publish(sp)
+		if got := l.Snapshot()[0]; !reflect.DeepEqual(got, sp) {
+			t.Fatalf("%d hops: published %+v, stored %+v", n, sp, got)
+		}
+		b, err := json.Marshal(l.Snapshot()[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(b, []byte(`"hops_truncated"`)) || (n == 0) == bytes.Contains(b, []byte(`"hops"`)) {
+			t.Fatalf("%d-hop span JSON = %s", n, b)
+		}
+	}
+}
+
+// TestSpanLogHopCap pins the per-span hop cap: Publish keeps the first
+// MaxSpanHops hops of a longer walk, marks the span HopsTruncated, and
+// stores the head in a MaxSpanHops-sized array rather than the caller's.
+func TestSpanLogHopCap(t *testing.T) {
+	for _, n := range []int{MaxSpanHops + 1, 4096} {
+		l := NewSpanLog(SpanLogConfig{Service: "s", SampleRate: 1})
+		sp := PhaseSpan{Trace: "t", ID: "a", Service: "s", Kind: SpanLocalRoute}
+		for i := 0; i < n; i++ {
+			sp.Hops = append(sp.Hops, Hop{Step: i, V: i})
+		}
+		l.Publish(sp)
+		got := l.Snapshot()[0]
+		if len(got.Hops) != MaxSpanHops || !got.HopsTruncated {
+			t.Fatalf("%d hops: kept %d truncated %v, want %d/true", n, len(got.Hops), got.HopsTruncated, MaxSpanHops)
+		}
+		if got.Hops[MaxSpanHops-1].Step != MaxSpanHops-1 {
+			t.Fatalf("%d hops: the cut kept %+v last, want the head of the walk", n, got.Hops[MaxSpanHops-1])
+		}
+		if cap(got.Hops) != MaxSpanHops {
+			t.Fatalf("%d hops: the ring holds a %d-hop backing array", n, cap(got.Hops))
+		}
 	}
 }

@@ -120,6 +120,7 @@ func (s *Server) clusterRoute(ctx context.Context, graphName string, sv, tv int,
 	segDur := time.Since(start)
 	tm.RouteUs += segDur.Microseconds()
 	s.phaseLat[phaseRoute].Record(segDur)
+	rt.observe(node.Graph(), tv, res)
 	rt.add(obs.SpanLocalRoute, start, segDur, "", "partial", "")
 	var fwd routeFwd
 	if exit >= 0 {
@@ -521,6 +522,7 @@ func (s *Server) handleClusterHop(w http.ResponseWriter, r *http.Request) {
 	exit := route.GreedyCSRPartial(node.Graph(), req.T, req.S, node.OwnedMask(), b, &es.sc, res)
 	segDur := time.Since(segStart)
 	s.phaseLat[phaseRoute].Record(segDur)
+	rt.observe(node.Graph(), req.T, res)
 	rt.add(obs.SpanLocalRoute, segStart, segDur, "", "partial", "")
 	// The hop's Timings stay local: HopResponse carries no attribution (the
 	// entry daemon owns the merged episode), but the per-phase histograms and

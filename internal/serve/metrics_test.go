@@ -132,7 +132,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"smallworld_serve_quarantined_total",
 		"smallworld_serve_inflight",
 		"smallworld_serve_breaker_state",
-		"smallworld_trace_sampled_total",
+		"smallworld_trace_spans_published_total",
 		"smallworld_go_goroutines",
 	} {
 		if _, ok := samples[name]; !ok {
@@ -180,7 +180,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // flight — the race detector turns any unsynchronized counter read into a
 // failure.
 func TestMetricsConcurrentScrape(t *testing.T) {
-	s := New(Config{Workers: 4, QueueDepth: 8, Tracer: obs.NewTracer(obs.TracerConfig{SampleRate: 0.5, Seed: 3})})
+	s := New(Config{Workers: 4, QueueDepth: 8, Spans: obs.NewSpanLog(obs.SpanLogConfig{SampleRate: 0.5, Seed: 3})})
 	s.AddNetwork("", testNetwork(t, 400, 11))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -297,22 +297,20 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestTraceEndpoint routes with sampling at rate 1 and checks the captured
-// trace comes back on /debug/trace tied to the request's X-Request-ID.
+// TestTraceEndpoint routes with sampling at rate 1 and checks the request's
+// spans come back on /debug/trace: the root span's detail is the request's
+// X-Request-ID, and its local_route span carries the hops of the returned
+// path, steps 0..k in order.
 func TestTraceEndpoint(t *testing.T) {
-	tracer := obs.NewTracer(obs.TracerConfig{SampleRate: 1, Seed: 42})
-	s := New(Config{Tracer: tracer, RequestIDSalt: 7})
+	s := New(Config{Spans: obs.NewSpanLog(obs.SpanLogConfig{SampleRate: 1, Seed: 42}), RequestIDSalt: 7})
 	s.AddNetwork("", testNetwork(t, 400, 11))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	body, _ := json.Marshal(RouteRequest{S: 1, T: 200})
-	post, err := http.Post(ts.URL+"/route", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	post, rr, er := postRoute(t, ts.URL, RouteRequest{S: 1, T: 200, IncludePath: true})
+	if er.Error != "" {
+		t.Fatalf("route failed: %s", er.Error)
 	}
-	io.Copy(io.Discard, post.Body)
-	post.Body.Close()
 	rid := post.Header.Get("X-Request-ID")
 
 	resp, err := http.Get(ts.URL + "/debug/trace")
@@ -326,41 +324,41 @@ func TestTraceEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("content type = %q", ct)
 	}
-	var traces []obs.Trace
+	var spans []obs.PhaseSpan
 	dec := json.NewDecoder(resp.Body)
 	for dec.More() {
-		var tr obs.Trace
-		if err := dec.Decode(&tr); err != nil {
+		var sp obs.PhaseSpan
+		if err := dec.Decode(&sp); err != nil {
 			t.Fatal(err)
 		}
-		traces = append(traces, tr)
+		spans = append(spans, sp)
 	}
-	var found *obs.Trace
-	for i := range traces {
-		if traces[i].Request == rid {
-			found = &traces[i]
+	var root *obs.PhaseSpan
+	for i := range spans {
+		if spans[i].Kind == obs.SpanRequest && spans[i].Detail == rid {
+			root = &spans[i]
 		}
 	}
-	if found == nil {
-		t.Fatalf("no trace carries request id %s (%d traces held)", rid, len(traces))
+	if root == nil {
+		t.Fatalf("no request span carries request id %s (%d spans held)", rid, len(spans))
 	}
-	if len(found.Spans) == 0 {
-		t.Fatal("trace has no spans")
+	var hops []obs.Hop
+	for _, sp := range spans {
+		if sp.Trace == root.Trace && sp.Kind == obs.SpanLocalRoute {
+			hops = sp.Hops
+		}
 	}
-	if found.Graph != DefaultGraph || found.Protocol != "greedy" {
-		t.Fatalf("trace labels = %q/%q", found.Graph, found.Protocol)
+	if len(hops) != len(rr.Path) {
+		t.Fatalf("local_route span carries %d hops, response path has %d vertices", len(hops), len(rr.Path))
 	}
-	if found.ID != tracer.ID(found.Episode) {
-		t.Fatalf("trace id %q does not match the deterministic id %q", found.ID, tracer.ID(found.Episode))
-	}
-	for i, sp := range found.Spans {
-		if sp.Step != i {
-			t.Fatalf("span %d out of order: %+v", i, sp)
+	for i, h := range hops {
+		if h.Step != i || h.V != rr.Path[i] {
+			t.Fatalf("hop %d = %+v, want step %d on vertex %d", i, h, i, rr.Path[i])
 		}
 	}
 }
 
-// TestTraceEndpointDisabled checks the tracer-less daemon answers 404 with a
+// TestTraceEndpointDisabled checks a daemon without a span log answers 404 with a
 // hint, not a panic or an empty 200.
 func TestTraceEndpointDisabled(t *testing.T) {
 	s := New(Config{})
@@ -372,7 +370,7 @@ func TestTraceEndpointDisabled(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/debug/trace without tracer = %d, want 404", resp.StatusCode)
+		t.Fatalf("/debug/trace without a span log = %d, want 404", resp.StatusCode)
 	}
 }
 

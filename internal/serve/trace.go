@@ -4,20 +4,24 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/route"
 )
 
 // This file is the serving layer's half of distributed tracing: the phase
 // vocabulary of the per-phase latency histograms, and reqTrace — the nil-safe
 // per-request span builder that turns the request path's milestones (queue
 // wait, breaker verdicts, engine episodes, forward RPCs, hedge waits, backoff
-// sleeps) into obs.PhaseSpans with deterministic ids. Three entry points
-// start a trace:
+// sleeps) into obs.PhaseSpans with deterministic ids, and the hops of every
+// walk it routed into events on that walk's local_route span. Three entry
+// points start a trace:
 //
 //	startEntryTrace  POST /route, /route/batch — the sampling decision and
 //	                 the trace id are pure hashes of (seed, sequence), so two
 //	                 identical runs trace identical requests with identical
-//	                 ids at any GOMAXPROCS.
+//	                 ids at any GOMAXPROCS. The root span's detail is the
+//	                 X-Request-ID, the join key to the request's log lines.
 //	startHopTrace    POST /cluster/hop, /cluster/replicate, /cluster/segment —
 //	                 adopt-only: the caller's Traceparent header carries the
 //	                 trace id and the parent span; no header, no spans. The
@@ -58,7 +62,9 @@ var phaseNames = [phaseCount]string{
 // (request, hop, or anti_entropy) opened at construction and published by
 // finish, plus flat phase children recorded as they complete. Span ids are
 // assigned serially on the owning goroutine (obs.SpanID over a per-trace
-// counter), so ids are deterministic even when the RPCs they name race.
+// counter), so ids are deterministic even when the RPCs they name race. As a
+// route.Observer it collects the hops of the walk just routed; the next
+// local_route span carries them, so every attempt keeps its own trajectory.
 type reqTrace struct {
 	log        *obs.SpanLog
 	trace      string
@@ -69,13 +75,14 @@ type reqTrace struct {
 	rootKind   string
 	rootDetail string
 	rootStart  time.Time
+	hops       []obs.Hop // observed since the last local_route span
 	done       bool
 }
 
 // startEntryTrace samples one entry request (POST /route or /route/batch)
 // into a new trace; nil when tracing is off or the request fell outside the
 // sample.
-func (s *Server) startEntryTrace() *reqTrace {
+func (s *Server) startEntryTrace(r *http.Request) *reqTrace {
 	if s.spans == nil {
 		return nil
 	}
@@ -83,7 +90,7 @@ func (s *Server) startEntryTrace() *reqTrace {
 	if !s.spans.Sampled(seq) {
 		return nil
 	}
-	return s.newTrace(s.spans.TraceID(seq), "", obs.SpanRequest, "")
+	return s.newTrace(s.spans.TraceID(seq), "", obs.SpanRequest, obs.RequestID(r.Context()))
 }
 
 // startHopTrace adopts the trace context a cluster RPC arrived with; nil when
@@ -156,17 +163,33 @@ func (rt *reqTrace) traceparent(spanID string) string {
 	return obs.FormatTraceparent(rt.trace, spanID)
 }
 
+// Move collects one hop of the walk just routed (route.Observer). Callers
+// attach a reqTrace as an observer only when it is non-nil: a typed-nil
+// observer would make the engine replay every untraced episode.
+func (rt *reqTrace) Move(ev route.MoveEvent) {
+	rt.hops = append(rt.hops, obs.Hop{Step: ev.Step, V: ev.V, W: ev.W, Score: ev.Score})
+}
+
+// observe collects the hops of a partial CSR segment routed toward t on g
+// (no-op on an untraced request).
+func (rt *reqTrace) observe(g *graph.Graph, t int, res *route.Result) {
+	if rt != nil {
+		route.Observe(g, route.NewStandard(g, t), *res, 0, rt)
+	}
+}
+
 // add records one completed phase span under the root.
 func (rt *reqTrace) add(kind string, start time.Time, d time.Duration, peer, detail, errMsg string) {
 	rt.end(rt.allocID(), kind, start, d, peer, detail, errMsg)
 }
 
-// end records a completed phase span under a pre-allocated id.
+// end records a completed phase span under a pre-allocated id. A
+// local_route span takes the pending hops.
 func (rt *reqTrace) end(id, kind string, start time.Time, d time.Duration, peer, detail, errMsg string) {
 	if rt == nil {
 		return
 	}
-	rt.log.Publish(obs.PhaseSpan{
+	sp := obs.PhaseSpan{
 		Trace:   rt.trace,
 		ID:      id,
 		Parent:  rt.rootID,
@@ -177,7 +200,11 @@ func (rt *reqTrace) end(id, kind string, start time.Time, d time.Duration, peer,
 		Peer:    peer,
 		Detail:  detail,
 		Err:     errMsg,
-	})
+	}
+	if kind == obs.SpanLocalRoute {
+		sp.Hops, rt.hops = rt.hops, nil
+	}
+	rt.log.Publish(sp)
 }
 
 // finish closes and publishes the root span. Idempotent, so handlers can

@@ -68,6 +68,7 @@ func newTracedCluster(t *testing.T, nw *core.Network, specs []replicaSpec, cfg C
 type stitchedTrace struct {
 	spans    []obs.PhaseSpan
 	roots    int
+	rootID   string
 	rootKind string
 	orphans  int
 	services map[string]bool
@@ -98,7 +99,7 @@ func stitchSpans(daemons []*shardDaemon) map[string]*stitchedTrace {
 			switch {
 			case sp.Parent == "":
 				tr.roots++
-				tr.rootKind = sp.Kind
+				tr.rootID, tr.rootKind = sp.ID, sp.Kind
 			case !byID[id][sp.Parent]:
 				tr.orphans++
 			}
@@ -107,10 +108,47 @@ func stitchSpans(daemons []*shardDaemon) map[string]*stitchedTrace {
 	return traces
 }
 
-// spanKey is the timing-free identity of one span — what must be
-// bit-identical across reruns of the same workload.
+// spanKey is the timing-free identity of one span, hop vertices included —
+// what must be bit-identical across reruns of the same workload.
 func spanKey(sp obs.PhaseSpan) string {
-	return sp.Trace + "/" + sp.ID + "/" + sp.Parent + "/" + sp.Service + "/" + sp.Kind
+	key := sp.Trace + "/" + sp.ID + "/" + sp.Parent + "/" + sp.Service + "/" + sp.Kind
+	for _, h := range sp.Hops {
+		key += fmt.Sprintf("/%d", h.V)
+	}
+	return key
+}
+
+// stitchHops chains the hop lists of a single-walk trace's local_route spans
+// across daemons: the entry segment is the root's local_route child, and a
+// segment that crossed a shard boundary ends on the vertex the next segment
+// starts on. ok is false unless the entry routed exactly one walk.
+func stitchHops(tr *stitchedTrace) (path []int, ok bool) {
+	var entry *obs.PhaseSpan
+	for i, sp := range tr.spans {
+		if sp.Kind == obs.SpanLocalRoute && sp.Parent == tr.rootID {
+			if entry != nil {
+				return nil, false
+			}
+			entry = &tr.spans[i]
+		}
+	}
+	for seg := entry; seg != nil && len(seg.Hops) > 0; {
+		if len(path) > 0 {
+			path = path[:len(path)-1] // the junction vertex opens this segment
+		}
+		for _, h := range seg.Hops {
+			path = append(path, h.V)
+		}
+		next := seg
+		seg = nil
+		for i, sp := range tr.spans {
+			if sp.Kind == obs.SpanLocalRoute && &tr.spans[i] != next && len(sp.Hops) > 0 &&
+				sp.Hops[0].V == path[len(path)-1] {
+				seg = &tr.spans[i]
+			}
+		}
+	}
+	return path, entry != nil
 }
 
 // tracedWorkload drives the deterministic query mix of the propagation test
@@ -125,6 +163,7 @@ func tracedWorkload(t *testing.T, seed uint64) ([]string, map[string]*stitchedTr
 	n := nw.Graph.N()
 	requests := 0
 	forwarded := 0
+	paths := map[int][]int{} // s -> returned path (the sources are distinct)
 	for i := 0; i < 30; i++ {
 		s := (i * 7919) % n
 		tt := (i*104729 + 13) % n
@@ -132,7 +171,7 @@ func tracedWorkload(t *testing.T, seed uint64) ([]string, map[string]*stitchedTr
 			continue
 		}
 		entry := daemons[i%len(daemons)]
-		status, got, er := clusterPost(t, entry.ts.URL, RouteRequest{S: s, T: tt})
+		status, got, er := clusterPost(t, entry.ts.URL, RouteRequest{S: s, T: tt, IncludePath: true})
 		if status != http.StatusOK {
 			t.Fatalf("pair (%d,%d): status %d (%s)", s, tt, status, er.Error)
 		}
@@ -146,6 +185,7 @@ func tracedWorkload(t *testing.T, seed uint64) ([]string, map[string]*stitchedTr
 		if got.Timings.TotalUs < got.Timings.RouteUs {
 			t.Fatalf("pair (%d,%d): total %dus < route %dus", s, tt, got.Timings.TotalUs, got.Timings.RouteUs)
 		}
+		paths[s] = got.Path
 	}
 	// One batch request: its items share the envelope's single trace.
 	batch := BatchRouteRequest{Items: []BatchItem{{S: 1, T: 99}, {S: 2, T: 77}, {S: 3, T: 55}}}
@@ -171,10 +211,35 @@ func tracedWorkload(t *testing.T, seed uint64) ([]string, map[string]*stitchedTr
 
 	traces := stitchSpans(daemons)
 	var keys []string
-	for _, tr := range traces {
+	stitched, batches := 0, 0
+	for id, tr := range traces {
 		for _, sp := range tr.spans {
 			keys = append(keys, spanKey(sp))
 		}
+		// The hops stitched across daemons are the returned path, vertex for
+		// vertex.
+		path, ok := stitchHops(tr)
+		if !ok {
+			// The batch: one trace, one entry segment per item, in item order.
+			var sources []int
+			for _, sp := range tr.spans {
+				if sp.Kind == obs.SpanLocalRoute && sp.Parent == tr.rootID && len(sp.Hops) > 0 {
+					sources = append(sources, sp.Hops[0].V)
+				}
+			}
+			if fmt.Sprint(sources) != "[1 2 3]" {
+				t.Fatalf("batch trace %s: entry segments start at %v, want the item sources [1 2 3]", id, sources)
+			}
+			batches++
+			continue
+		}
+		if want := paths[path[0]]; fmt.Sprint(path) != fmt.Sprint(want) {
+			t.Fatalf("trace %s: stitched hops %v, response path %v", id, path, want)
+		}
+		stitched++
+	}
+	if stitched != len(paths) || batches != 1 {
+		t.Fatalf("stitched %d of %d single-walk traces and %d batch traces, want 1", stitched, len(paths), batches)
 	}
 	sort.Strings(keys)
 	return keys, traces, requests
@@ -306,23 +371,21 @@ func TestHedgedTraceConnected(t *testing.T) {
 	}
 }
 
-// TestDebugTraceServesSpans pins the /debug/trace contract: with a span log
-// and no episode tracer, the endpoint answers 200 with one JSON line per
-// span (a "trace" key), and the per-phase histograms appear on /metrics.
+// TestDebugTraceServesSpans pins the /debug/trace contract on a clustered
+// daemon: the endpoint answers 200 with one PhaseSpan per line, each with a
+// trace, span and kind. It also pins the exposition: the per-phase
+// histograms appear on /metrics, and every scrape — each daemon's /metrics
+// and the federated /cluster/metrics — declares each family once.
 func TestDebugTraceServesSpans(t *testing.T) {
 	nw := testNetwork(t, 300, 5)
-	srv := New(Config{
-		RequestTimeout: 2 * time.Second,
-		Spans:          obs.NewSpanLog(obs.SpanLogConfig{Service: "solo", Seed: 7, SampleRate: 1}),
-	})
-	srv.AddNetwork(DefaultGraph, nw)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	daemons := newTracedCluster(t, nw, []replicaSpec{{"0", 0}, {"1", 0}},
+		Config{RequestTimeout: 2 * time.Second}, cluster.Config{Seed: 1})
+	base := daemons[0].ts.URL
 
-	if _, _, er := postRoute(t, ts.URL, RouteRequest{S: 1, T: 42}); er.Error != "" {
-		t.Fatalf("route failed: %s", er.Error)
+	if status, _, er := clusterPost(t, base, RouteRequest{S: 1, T: 42}); status != http.StatusOK {
+		t.Fatalf("route failed: %d %s", status, er.Error)
 	}
-	resp, err := http.Get(ts.URL + "/debug/trace")
+	resp, err := http.Get(base + "/debug/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,11 +396,8 @@ func TestDebugTraceServesSpans(t *testing.T) {
 	lines := 0
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
 		var sp obs.PhaseSpan
-		if err := json.Unmarshal(sc.Bytes(), &sp); err != nil || sp.Trace == "" {
+		if err := json.Unmarshal(sc.Bytes(), &sp); err != nil || sp.Trace == "" || sp.ID == "" || sp.Kind == "" {
 			t.Fatalf("non-span line on /debug/trace: %s", sc.Text())
 		}
 		lines++
@@ -346,23 +406,42 @@ func TestDebugTraceServesSpans(t *testing.T) {
 		t.Fatalf("%d span lines, want at least root + queue/route phases", lines)
 	}
 
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	scrape := func(url string) string {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fams, err := obs.ParseExposition(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s does not parse: %v", url, err)
+		}
+		for _, f := range fams {
+			if n := strings.Count(string(body), "# TYPE "+f.Name+" "); n != 1 {
+				t.Fatalf("%s declares family %s %d times", url, f.Name, n)
+			}
+		}
+		return string(body)
 	}
-	defer mresp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(mresp.Body); err != nil {
-		t.Fatal(err)
-	}
+	metrics := scrape(base + "/metrics")
 	for _, want := range []string{
 		`smallworld_request_phase_seconds_bucket{phase="queue_wait"`,
 		`smallworld_request_phase_seconds_bucket{phase="local_route"`,
 		"smallworld_trace_spans_published_total",
+		"smallworld_cluster_forwards_total",
 	} {
-		if !strings.Contains(buf.String(), want) {
+		if !strings.Contains(metrics, want) {
 			t.Fatalf("/metrics is missing %q", want)
 		}
+	}
+	scrape(daemons[1].ts.URL + "/metrics")
+	if fed := scrape(base + "/cluster/metrics"); !strings.Contains(fed, `instance="`+daemons[1].addr+`"`) {
+		t.Fatalf("federated scrape is missing instance %s", daemons[1].addr)
 	}
 }
 
